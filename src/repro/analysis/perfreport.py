@@ -221,11 +221,10 @@ SCALE_CRYPTO_MINI_SPEC = SCALE_BATCHED_MINI_SPEC.replace(
 
 
 def _run_mini(spec: ScenarioSpec) -> int:
-    from repro.experiments.runner import _run_ordering
+    from repro.experiments.runner import build_deployment, run_workload
 
     perf.clear_caches()
-    workload, _monitor, _transport = _run_ordering(spec)
-    return workload.sim.events_processed
+    return run_workload(spec, build_deployment(spec)).sim.events_processed
 
 
 def _bench_fig6_mini() -> int:

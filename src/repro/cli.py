@@ -1028,9 +1028,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     if transport is None:
         transport = TransportSpec(kind="asyncio")
-    elif not transport.live:
-        print("error: repro serve needs a live transport (--transport asyncio)")
-        return 2
     ok, crypto = _parse_crypto_override(args)
     if not ok:
         return 2
@@ -1073,11 +1070,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serving on {handle.server.address} (Ctrl-C to stop)")
 
     handle.clock.add_starter(_announce)
-    if args.duration is not None:
-        handle.run(until_ms=args.duration * 1000.0)
-        return 0
     try:
-        handle.run_forever()
+        handle.run(None if args.duration is None else args.duration * 1000.0)
     except KeyboardInterrupt:
         print("\nstopped")
     return 0

@@ -10,8 +10,9 @@ a declarative engine:
   :class:`Scenario` definitions (the paper's Figures 6-8 plus
   beyond-the-paper stress scenarios), each a base spec with a sweep
   grid;
-* :mod:`repro.experiments.runner` -- :func:`run_scenario`, the single
-  place where a spec becomes a live simulation;
+* :mod:`repro.experiments.runner` -- :func:`build_deployment`, the
+  single place where a spec becomes a live system, and
+  :func:`run_scenario` on top of it;
 * :mod:`repro.experiments.campaign` -- :class:`Campaign`, which expands
   (system x sweep x repeat) grids and executes them in parallel with
   per-run deterministic seeds;
@@ -44,13 +45,16 @@ from repro.experiments.registry import (
 )
 from repro.experiments.runner import (
     AuditedRun,
+    Deployment,
     RunResult,
     audit_scenario,
+    build_deployment,
     build_ordering_group,
     observe_spec,
     pbft_fault_budget,
     run_ordering_spec,
     run_scenario,
+    run_workload,
 )
 from repro.experiments.spec import (
     CALM_LAN,
@@ -71,6 +75,7 @@ __all__ = [
     "CALM_LAN",
     "Campaign",
     "DelaySpec",
+    "Deployment",
     "FaultEvent",
     "ObsSpec",
     "ResultStore",
@@ -85,6 +90,7 @@ __all__ = [
     "TransportSpec",
     "UnknownScenarioError",
     "audit_scenario",
+    "build_deployment",
     "build_ordering_group",
     "clamp_jobs",
     "derive_seed",
@@ -94,6 +100,7 @@ __all__ = [
     "register",
     "run_ordering_spec",
     "run_scenario",
+    "run_workload",
     "scenario_names",
     "scenarios",
 ]

@@ -1,9 +1,11 @@
 """Execution of declarative scenario specs.
 
 This module is the single place where a :class:`ScenarioSpec` becomes a
-live simulation: it builds the system under test, schedules the fault
-plan, drives the workload and flattens the measurements into a
-JSON-able metrics dict.  The CLI, the campaign runner and the benchmark
+live system: :func:`build_deployment` assembles the transport, group,
+calibration, observability, gateway and HTTP front end and schedules
+the fault plan; :func:`run_workload` drives the spec's workload on it;
+the entry points flatten the measurements into a JSON-able metrics
+dict.  The CLI, the campaign runner, ``repro serve`` and the benchmark
 harness all call in here, so their configurations cannot drift.
 
 **Invariants this module maintains** (what the :mod:`repro.invariants`
@@ -43,6 +45,8 @@ from repro.fsnewtop.system import ByzantineTolerantGroup
 from repro.obs import FlightRecorder, ObsHub, install_hub
 from repro.net.network import Network
 from repro.newtop.system import CrashTolerantGroup
+from repro.service.gateway import OrderingGateway
+from repro.service.workload import ServiceWorkload
 from repro.shard.group import ShardedGroup, build_sharded_group
 from repro.sim.scheduler import Simulator
 from repro.transport import (
@@ -158,36 +162,19 @@ def _schedule_faults(sim, group: AnyGroup, spec: ScenarioSpec, app_runtime=None)
 
 
 # ----------------------------------------------------------------------
-# transports & calibration
-# ----------------------------------------------------------------------
-def live_overrides(
-    spec: ScenarioSpec, calibration: CalibrationResult | None
-) -> dict[str, typing.Any]:
-    """Group-constructor overrides a calibrated live run applies.
-
-    The measured cost model replaces the simulator's defaults so charged
-    service times track real crypto time, and the calibrated delta
-    replaces the cost-model deadline base (batch shape is preserved).
-    fs-newtop only -- the other systems sign nothing.
-    """
-    if calibration is None or spec.system != "fs-newtop":
-        return {}
-    base = FsoConfig()
-    if spec.batching is not None:
-        base = FsoConfig(
-            batch_max=spec.batching.max_batch,
-            batch_delay_ms=spec.batching.max_delay_ms,
-            batch_inflight=spec.batching.max_inflight,
-        )
-    return {
-        "crypto_costs": calibration.crypto_cost_model(),
-        "fso_config": calibration.fso_config(base),
-    }
-
-
-# ----------------------------------------------------------------------
 # ordering systems (newtop / fs-newtop)
 # ----------------------------------------------------------------------
+def _fso_config(spec: ScenarioSpec) -> FsoConfig:
+    """The wrapper configuration a spec's batching shape implies."""
+    if spec.batching is None:
+        return FsoConfig()
+    return FsoConfig(
+        batch_max=spec.batching.max_batch,
+        batch_delay_ms=spec.batching.max_delay_ms,
+        batch_inflight=spec.batching.max_inflight,
+    )
+
+
 def build_ordering_group(
     sim: Clock, spec: ScenarioSpec, **overrides: typing.Any
 ) -> AnyGroup:
@@ -227,77 +214,139 @@ def build_ordering_group(
         elif spec.crypto_scale != 1.0:
             kwargs["crypto_costs"] = CryptoCostModel().scaled(spec.crypto_scale)
         if spec.batching is not None:
-            kwargs["fso_config"] = FsoConfig(
-                batch_max=spec.batching.max_batch,
-                batch_delay_ms=spec.batching.max_delay_ms,
-                batch_inflight=spec.batching.max_inflight,
-            )
+            kwargs["fso_config"] = _fso_config(spec)
         kwargs.update(overrides)
         return ByzantineTolerantGroup(sim, n_members=spec.n_members, **kwargs)
     raise ValueError(f"not an ordering system: {spec.system!r}")
 
 
-def _run_ordering(
+# ----------------------------------------------------------------------
+# the composition root
+# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class Deployment:
+    """What :func:`build_deployment` assembled for one spec; ``None``
+    marks a layer the spec, or the run's purpose, left off."""
+
+    transport: Transport
+    clock: Clock
+    group: AnyGroup
+    calibration: CalibrationResult | None = None
+    hub: ObsHub | None = None
+    obs_spec: ObsSpec | None = None
+    flight: FlightRecorder | None = None
+    monitor: InvariantMonitor | None = None
+    app_runtime: typing.Any = None
+    gateway: OrderingGateway | None = None
+    server: typing.Any = None
+
+    def metrics(self) -> dict[str, float]:
+        """The run's wall-clock, obs and app metrics, flattened.
+
+        Wall metrics are empty on the simulator.  ``deadline_margin_ms``
+        is how much of the (calibrated) delta bound the worst observed
+        timer slack left unused -- the headroom between this run and a
+        spurious fail-signal.  The hub's gauge of the same name is set
+        here: the worst slack is only known once the run is over.
+        """
+        metrics = dict(self.transport.wall_metrics())
+        if metrics:
+            calibration = self.calibration
+            delta = calibration.delta_ms if calibration is not None else FsoConfig().delta
+            margin = delta - metrics.get("timer_slack_max_ms", 0.0)
+            metrics["calibrated_delta_ms"] = delta
+            metrics["deadline_margin_ms"] = margin
+            if self.hub is not None:
+                self.hub.deadline_margin_ms.set(margin)
+        if self.hub is not None:
+            metrics.update(self.hub.summary_metrics())
+        if self.app_runtime is not None:
+            metrics.update(self.app_runtime.metrics())
+        return metrics
+
+    def close(self) -> None:
+        """Release the transport's sockets and event loop."""
+        self.transport.close()
+
+
+def build_deployment(
     spec: ScenarioSpec,
-    monitor_config: AuditConfig | None = None,
+    *,
+    audit: AuditConfig | None = None,
     scenario: str | None = None,
+    serving: bool = False,
+    host: str = "127.0.0.1",
+    port: int = 0,
     **system_kwargs: typing.Any,
-) -> tuple[OrderingWorkload, InvariantMonitor | None, Transport]:
-    """Build and run an ordering spec.
+) -> Deployment:
+    """Assemble the system a spec describes -- the one composition root.
 
-    With ``monitor_config`` set this becomes an *audit* run: the trace
-    recorder stays live (listeners only -- nothing is stored) and an
-    :class:`InvariantMonitor` rides along; call ``monitor.finish()``
-    after the run for the report.  Measurement runs keep tracing off.
+    Every run and every served deployment is built here, so each policy
+    is decided once, from the spec:
 
-    The spec's :class:`~repro.experiments.spec.TransportSpec` picks the
-    clock: the default simulator path is construction-for-construction
-    identical to building the :class:`Simulator` directly, while a live
-    transport supplies the network(s), wall-clock timers and (when
-    enabled) the host-calibrated deadlines.
+    * ``spec.transport`` picks the clock (the simulator path is
+      construction-identical to building a :class:`Simulator`); TCP
+      frames with ``spec.crypto``'s codec;
+    * calibration measures ``spec.crypto``'s own scheme, from the loaded
+      :data:`SERVICE_FLOOR_MS` when a gateway rides the loop (the spec
+      has one, or ``serving``); fs-newtop runs on the measured costs;
+    * ``audit`` keeps the trace live, listener-only, for an
+      :class:`InvariantMonitor` (call ``monitor.finish()`` after the
+      run) and the flight recorder; otherwise tracing is off;
+    * an explicit ``spec.obs`` wins; otherwise audits and served
+      deployments observe and measurement runs do not (the perf gate
+      must see the obs-disabled stack);
+    * a served deployment binds its HTTP front end on ``host:port``; a
+      live unserved run with a hub binds ``GET /metrics`` on
+      ``obs_spec.http_port``.
+
+    ``system_kwargs`` go to the (unsharded) group constructor and win.
+    Nothing runs until the caller drives the clock.
     """
+    live = spec.transport is not None and spec.transport.live
+    if serving and not live:
+        raise ValueError("repro serve needs a live transport (e.g. --transport asyncio)")
     transport = build_transport(
         spec.transport,
         seed=spec.seed,
         codec=spec.crypto.codec if spec.crypto is not None else "canonical",
     )
-    sim = transport.clock
-    live = spec.transport is not None and spec.transport.live
-    monitor = None
-    if monitor_config is None:
-        sim.trace.enabled = False  # measurement runs do not pay for tracing
+    clock = transport.clock
+    if audit is None:
+        clock.trace.enabled = False  # measurement runs do not pay for tracing
     else:
-        sim.trace.store = False  # oracles listen; nothing is stored
-    # Observability: an explicit ObsSpec wins; otherwise audit runs
-    # observe by default and measurement runs do not (the perf gate
-    # must see the obs-disabled stack).  Installed before the group is
-    # built so every layer's hub_of() lookup finds the instruments.
+        clock.trace.store = False  # oracles listen; nothing is stored
     obs_spec = spec.obs
-    if obs_spec is None and monitor_config is not None:
+    if obs_spec is None and (audit is not None or serving):
         obs_spec = ObsSpec()
     hub = None
     flight = None
     if obs_spec is not None and obs_spec.enabled:
-        hub = install_hub(sim, ObsHub())
-        if obs_spec.flight and monitor_config is not None:
-            # The recorder is a trace listener, so it rides the same
-            # stream the oracles consume -- audit runs only.
-            flight = FlightRecorder(capacity=obs_spec.flight_events).attach(sim.trace)
+        # Installed before the group is built so every layer's hub_of()
+        # lookup finds the instruments.
+        hub = install_hub(clock, ObsHub())
+        if obs_spec.flight and audit is not None:
+            # The recorder is a trace listener: it rides the same stream
+            # the oracles consume.
+            flight = FlightRecorder(capacity=obs_spec.flight_events).attach(clock.trace)
+    gated = serving or spec.gateway is not None
     calibration = None
+    overrides: dict[str, typing.Any] = {}
     if live and spec.transport.calibrate:
-        # A served run puts the whole client fleet on the protocol's
-        # loop; start the delta derivation from the loaded floor.
-        kwargs = {"tcp": spec.transport.tcp}
+        kwargs: dict[str, typing.Any] = {"tcp": spec.transport.tcp}
         if spec.crypto is not None:
             # Calibrate against the scheme that will actually sign, so
             # the measured deadlines shrink with a faster provider.
             kwargs["scheme"] = spec.crypto.scheme()
-        if spec.gateway is not None:
+        if gated:
+            # The client fleet shares the protocol's loop.
             kwargs["base_delta_ms"] = SERVICE_FLOOR_MS
         calibration = calibrate(**kwargs)
-    if hub is not None and calibration is not None:
-        hub.calibrated_delta_ms.set(calibration.delta_ms)
-    overrides = dict(live_overrides(spec, calibration))
+        if hub is not None:
+            hub.calibrated_delta_ms.set(calibration.delta_ms)
+        if spec.system == "fs-newtop":  # the other systems sign nothing
+            overrides["crypto_costs"] = calibration.crypto_cost_model()
+            overrides["fso_config"] = calibration.fso_config(_fso_config(spec))
     if spec.shard is not None:
         if system_kwargs:
             raise ValueError(
@@ -305,88 +354,85 @@ def _run_ordering(
                 f"(got {sorted(system_kwargs)})"
             )
         group: AnyGroup = build_sharded_group(
-            sim,
-            spec,
-            transport=transport if live else None,
-            overrides=overrides or None,
+            clock, spec, transport=transport if live else None, overrides=overrides or None
         )
     else:
         if live:
-            overrides["network"] = transport.make_network(
-                default_delay=spec.delay.build()
-            )
+            overrides["network"] = transport.make_network(default_delay=spec.delay.build())
         overrides.update(system_kwargs)
-        group = build_ordering_group(sim, spec, **overrides)
-    if monitor_config is not None:
-        monitor = InvariantMonitor(
-            sim, topology_of(group), config=monitor_config, scenario=scenario
-        )
+        group = build_ordering_group(clock, spec, **overrides)
+    monitor = None
+    if audit is not None:
+        monitor = InvariantMonitor(clock, topology_of(group), config=audit, scenario=scenario)
     app_runtime = None
     if spec.app is not None:
         from repro.app.runtime import AppRuntime
 
-        app_runtime = AppRuntime(sim, group, spec.app)
-    if spec.gateway is not None:
-        from repro.service.workload import ServiceWorkload
-
-        workload: OrderingWorkload = ServiceWorkload(
-            sim,
-            group,
-            spec.gateway,
-            message_size=spec.message_size,
-            keyspace=spec.shard.keyspace if spec.shard is not None else None,
-            kv_ops=spec.app is not None,
-        )
-    elif spec.shard is not None:
-        workload = ShardedOrderingWorkload(
-            sim,
-            group,
-            messages_per_member=spec.messages_per_member,
-            interval=spec.interval,
-            message_size=spec.message_size,
-            service=spec.service,
-            write_ratio=spec.write_ratio,
-            keyspace=spec.shard.keyspace,
-            cross_shard_ratio=spec.shard.cross_shard_ratio,
-        )
-    else:
-        workload = OrderingWorkload(
-            sim,
-            group,
-            messages_per_member=spec.messages_per_member,
-            interval=spec.interval,
-            message_size=spec.message_size,
-            service=spec.service,
-            write_ratio=spec.write_ratio,
-        )
-    if hub is not None and live and obs_spec.http_port is not None:
-        # A live run hosts GET /metrics for the duration: scrapeable by
-        # an operator (or the CI format check) while the scenario runs.
-        # The socket dies with the loop, the same way `repro serve`'s
-        # server does; gateway-backed runs also expose /v1/status.
+        app_runtime = AppRuntime(clock, group, spec.app)
+    gateway = None
+    if gated:
+        gateway = OrderingGateway(clock, group, spec.gateway, service=spec.service)
+    server = None
+    http_port = port if serving else (
+        obs_spec.http_port if hub is not None and live else None
+    )
+    if http_port is not None:
+        # Binds when the run starts and dies with the loop.  An unserved
+        # run announces its /metrics endpoint so an operator (or the CI
+        # format check) can scrape it while the scenario runs.
         from repro.service.http import ServiceHttpServer
 
-        metrics_server = ServiceHttpServer(
-            sim,
-            gateway=getattr(workload, "gateway", None),
-            port=obs_spec.http_port,
-            hub=hub,
-        )
+        server = ServiceHttpServer(clock, gateway, host=host, port=http_port, hub=hub)
 
-        async def _serve_metrics() -> None:
-            await metrics_server.start()
-            print(f"obs: GET /metrics on {metrics_server.address}", flush=True)
+        async def _start_server() -> None:
+            await server.start()
+            if not serving:
+                print(f"obs: GET /metrics on {server.address}", flush=True)
 
-        sim.add_starter(_serve_metrics)
-    _schedule_faults(sim, group, spec, app_runtime)
+        clock.add_starter(_start_server)
+    _schedule_faults(clock, group, spec, app_runtime)
     if spec.adversaries:
-        AdversaryEngine(sim, group, spec.adversaries).install()
-    transport.calibration = calibration  # type: ignore[attr-defined]
-    transport.app_runtime = app_runtime  # type: ignore[attr-defined]
-    transport.obs_hub = hub  # type: ignore[attr-defined]
-    transport.obs_spec = obs_spec  # type: ignore[attr-defined]
-    transport.flight = flight  # type: ignore[attr-defined]
+        AdversaryEngine(clock, group, spec.adversaries).install()
+    return Deployment(
+        transport, clock, group, calibration, hub, obs_spec, flight, monitor,
+        app_runtime, gateway, server,
+    )
+
+
+def run_workload(spec: ScenarioSpec, deployment: Deployment) -> OrderingWorkload:
+    """Drive the spec's workload on a built deployment, then close it.
+
+    A spec with a gateway gets the closed-loop client fleet on the
+    deployment's gateway, a sharded spec the keyed sharded schedule,
+    anything else the paper's fixed-rate schedule.
+    """
+    clock, group = deployment.clock, deployment.group
     try:
+        if spec.gateway is not None:
+            workload: OrderingWorkload = ServiceWorkload(
+                deployment.gateway,
+                message_size=spec.message_size,
+                keyspace=spec.shard.keyspace if spec.shard is not None else None,
+                kv_ops=spec.app is not None,
+            )
+        else:
+            schedule = dict(
+                messages_per_member=spec.messages_per_member,
+                interval=spec.interval,
+                message_size=spec.message_size,
+                service=spec.service,
+                write_ratio=spec.write_ratio,
+            )
+            if spec.shard is not None:
+                workload = ShardedOrderingWorkload(
+                    clock,
+                    group,
+                    keyspace=spec.shard.keyspace,
+                    cross_shard_ratio=spec.shard.cross_shard_ratio,
+                    **schedule,
+                )
+            else:
+                workload = OrderingWorkload(clock, group, **schedule)
         with gc_paused():  # host-time only; see repro.perf
             workload.run(settle_ms=spec.settle_ms)
             # Entries keyed to this run's (now dead) messages would only
@@ -394,53 +440,8 @@ def _run_ordering(
             # collection; dropping them inside the pause frees by refcount.
             clear_caches()
     finally:
-        transport.close()
-    return workload, monitor, transport
-
-
-def transport_metrics(transport: Transport) -> dict[str, float]:
-    """Wall-clock observations of a live run, flattened for the report.
-
-    Empty for the simulator.  ``deadline_margin_ms`` is how much of the
-    (calibrated) delta bound the worst observed timer slack left unused
-    -- the headroom between this run and a spurious fail-signal.
-    """
-    metrics = dict(transport.wall_metrics())
-    if not metrics:
-        return metrics
-    calibration = getattr(transport, "calibration", None)
-    delta = calibration.delta_ms if calibration is not None else FsoConfig().delta
-    metrics["calibrated_delta_ms"] = delta
-    metrics["deadline_margin_ms"] = delta - metrics.get("timer_slack_max_ms", 0.0)
-    return metrics
-
-
-def obs_metrics(transport: Transport) -> dict[str, float]:
-    """Histogram summaries of the run's obs hub, flattened.
-
-    Empty when the run carried no hub.  Also the point where the
-    deadline-margin gauge is finalised: the worst timer slack is only
-    known once the run is over.
-    """
-    hub = getattr(transport, "obs_hub", None)
-    if hub is None:
-        return {}
-    wall = transport.wall_metrics()
-    if wall:
-        delta = hub.calibrated_delta_ms.value or FsoConfig().delta
-        hub.deadline_margin_ms.set(delta - wall.get("timer_slack_max_ms", 0.0))
-    return hub.summary_metrics()
-
-
-def app_metrics(transport: Transport) -> dict[str, float]:
-    """The replicated application's ``app_*`` metrics, flattened.
-
-    Empty when the spec carried no :class:`~repro.app.spec.AppSpec`.
-    """
-    runtime = getattr(transport, "app_runtime", None)
-    if runtime is None:
-        return {}
-    return runtime.metrics()
+        deployment.close()
+    return workload
 
 
 def observe_spec(
@@ -457,12 +458,10 @@ def observe_spec(
         spec = spec.replace(obs=ObsSpec(http_port=None))
     elif not spec.obs.enabled:
         spec = spec.replace(obs=dataclasses.replace(spec.obs, enabled=True))
-    _workload, _monitor, transport = _run_ordering(spec, scenario=scenario)
-    hub = getattr(transport, "obs_hub", None)
-    if hub is None:
-        return {}
-    snapshot = hub.registry.snapshot()
-    snapshot["summary"] = hub.summary_metrics()
+    deployment = build_deployment(spec, scenario=scenario)
+    run_workload(spec, deployment)
+    snapshot = deployment.hub.registry.snapshot()
+    snapshot["summary"] = deployment.hub.summary_metrics()
     return snapshot
 
 
@@ -471,8 +470,8 @@ def run_ordering_spec(
 ) -> ExperimentResult:
     """Run an ordering spec and return the rich per-run result (the
     interface :func:`repro.workloads.run_ordering_experiment` wraps)."""
-    workload, _monitor, _transport = _run_ordering(spec, **system_kwargs)
-    return workload.result(spec.system)
+    deployment = build_deployment(spec, **system_kwargs)
+    return run_workload(spec, deployment).result(spec.system)
 
 
 def _fs_groups(group: AnyGroup) -> tuple[ByzantineTolerantGroup, ...]:
@@ -524,7 +523,11 @@ def _batching_metrics(group: AnyGroup) -> dict[str, float]:
     }
 
 
-def _ordering_metrics(workload: OrderingWorkload, result: ExperimentResult) -> dict[str, float]:
+def _ordering_metrics(
+    spec: ScenarioSpec, workload: OrderingWorkload, deployment: Deployment
+) -> dict[str, float]:
+    """A finished ordering run's metrics: the workload's, then the deployment's."""
+    result = workload.result(spec.system)
     group = workload.group
     view_changes = sum(len(group.views(m)) for m in group.member_ids)
     ordered = float(workload.recorder.fully_delivered(workload.n_members))
@@ -551,6 +554,7 @@ def _ordering_metrics(workload: OrderingWorkload, result: ExperimentResult) -> d
     service_metrics = getattr(workload, "service_metrics", None)
     if service_metrics is not None:
         metrics.update(service_metrics())
+    metrics.update(deployment.metrics())
     return metrics
 
 
@@ -665,13 +669,9 @@ def run_scenario(spec: ScenarioSpec) -> RunResult:
     """Execute one spec and return its flattened metrics."""
     if spec.system == "pbft":
         return RunResult(spec=spec, metrics=_run_pbft(spec))
-    workload, _monitor, transport = _run_ordering(spec)
-    result = workload.result(spec.system)
-    metrics = _ordering_metrics(workload, result)
-    metrics.update(transport_metrics(transport))
-    metrics.update(obs_metrics(transport))
-    metrics.update(app_metrics(transport))
-    return RunResult(spec=spec, metrics=metrics)
+    deployment = build_deployment(spec)
+    workload = run_workload(spec, deployment)
+    return RunResult(spec=spec, metrics=_ordering_metrics(spec, workload, deployment))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -711,29 +711,24 @@ def audit_scenario(
     """
     if spec.system == "pbft":
         raise ValueError("audit runs need an ordering system (newtop / fs-newtop)")
-    audit_config = config if config is not None else AuditConfig()
-    workload, monitor, transport = _run_ordering(
-        spec, monitor_config=audit_config, scenario=scenario
+    deployment = build_deployment(
+        spec,
+        audit=config if config is not None else AuditConfig(),
+        scenario=scenario,
     )
-    assert monitor is not None
-    result = workload.result(spec.system)
-    metrics = _ordering_metrics(workload, result)
-    metrics.update(transport_metrics(transport))
-    metrics.update(obs_metrics(transport))
-    metrics.update(app_metrics(transport))
-    report = monitor.finish()
+    workload = run_workload(spec, deployment)
+    metrics = _ordering_metrics(spec, workload, deployment)
+    report = deployment.monitor.finish()
     bundle = None
-    flight = getattr(transport, "flight", None)
+    flight = deployment.flight
     if flight is not None and (flight.tripped or not report.ok):
-        obs_spec = getattr(transport, "obs_spec", None) or ObsSpec()
-        hub = getattr(transport, "obs_hub", None)
         bundle = str(
             flight.dump(
-                obs_spec.flight_dir,
+                deployment.obs_spec.flight_dir,
                 scenario=scenario or spec.system,
                 spec=spec.to_dict(),
-                registry=hub.registry if hub is not None else None,
-                calibration=getattr(transport, "calibration", None),
+                registry=deployment.hub.registry,
+                calibration=deployment.calibration,
                 report=report.to_dict(),
             )
         )

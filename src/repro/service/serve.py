@@ -2,109 +2,61 @@
 
 Builds the deployment a :class:`~repro.experiments.spec.ScenarioSpec`
 describes -- on the asyncio transport, optionally sharded, optionally
-over localhost TCP -- puts an :class:`~repro.service.gateway.
-OrderingGateway` in front of it, binds the stdlib HTTP/SSE server from
-:mod:`repro.service.http`, prints the fleet's derived API keys, and
-runs until interrupted.  See docs/SERVICE.md for the operator guide.
+over localhost TCP -- with an :class:`~repro.service.gateway.
+OrderingGateway` in front of it and the stdlib HTTP/SSE server from
+:mod:`repro.service.http` bound, prints the fleet's derived API keys,
+and runs until interrupted.  See docs/SERVICE.md for the operator guide.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.service.gateway import OrderingGateway
-from repro.service.http import ServiceHttpServer
-from repro.service.spec import ServiceSpec
-
 if typing.TYPE_CHECKING:
+    from repro.experiments.runner import Deployment
     from repro.experiments.spec import ScenarioSpec
 
 
 class ServeHandle:
     """What :func:`build_server` assembled, ready to run or inspect."""
 
-    def __init__(self, transport, gateway, server) -> None:
-        self.transport = transport
-        self.clock = transport.clock
-        self.gateway = gateway
-        self.server = server
+    def __init__(self, deployment: "Deployment") -> None:
+        self.deployment = deployment
+        self.clock = deployment.clock
+        self.gateway = deployment.gateway
+        self.server = deployment.server
 
-    def run_forever(self) -> None:
-        """Serve until interrupted (no quiescence exit: a server idles)."""
-        self.clock.add_idle_check(lambda: False)
-        try:
-            self.clock.run()
-        finally:
-            self.transport.close()
+    def run(self, until_ms: float | None = None) -> None:
+        """Serve until ``until_ms`` virtual ms, or until interrupted.
 
-    def run(self, until_ms: float) -> None:
-        """Serve for a bounded virtual window (tests, demos).
-
-        Like :meth:`run_forever`, the server must outlive quiescence
-        -- an empty timer heap just means no client has called yet --
-        so the idle check keeps the clock alive until the window ends.
+        A server must outlive quiescence -- an empty timer heap just
+        means no client has called yet -- so an idle check keeps the
+        clock alive until the window ends.
         """
         self.clock.add_idle_check(lambda: False)
         try:
             self.clock.run(until=until_ms)
         finally:
-            self.transport.close()
+            self.deployment.close()
 
 
 def build_server(
     spec: "ScenarioSpec", host: str = "127.0.0.1", port: int = 0
 ) -> ServeHandle:
-    """Assemble transport, group, gateway and HTTP server for a spec.
+    """Build the served deployment of a spec (the runner's
+    :func:`~repro.experiments.runner.build_deployment` with ``serving``).
 
     The spec must carry a *live* transport (``repro serve`` forces the
     asyncio backend); its ``gateway`` field configures admission
-    control (a default :class:`ServiceSpec` when absent).  The server
-    is registered as a clock starter, so it binds when the run starts;
-    with ``port=0`` the kernel picks a free port, available as
-    ``handle.server.port`` after binding.
+    control (a default :class:`~repro.service.spec.ServiceSpec` when
+    absent).  The server binds when the run starts; with ``port=0`` the
+    kernel picks a free port, available as ``handle.server.port`` after
+    binding.
     """
     # Imported lazily: repro.experiments imports this package's spec.
-    from repro.experiments.runner import (
-        build_ordering_group,
-        build_sharded_group,
-        live_overrides,
-    )
-    from repro.transport import SERVICE_FLOOR_MS, build_transport, calibrate
+    from repro.experiments.runner import build_deployment
 
-    if spec.transport is None or not spec.transport.live:
-        raise ValueError("repro serve needs a live transport (e.g. --transport asyncio)")
-    transport = build_transport(spec.transport, seed=spec.seed)
-    clock = transport.clock
-    clock.trace.enabled = False
-    # Observability rides every served deployment unless the spec
-    # explicitly turns it off; install before the group is built so the
-    # wrappers/gateway pick their instruments up at construction.
-    from repro.experiments.spec import ObsSpec
-    from repro.obs import ObsHub, install_hub
-
-    obs_spec = spec.obs if spec.obs is not None else ObsSpec()
-    hub = install_hub(clock, ObsHub()) if obs_spec.enabled else None
-    calibration = (
-        # A server always has the gateway on the loop: use the loaded floor.
-        calibrate(tcp=spec.transport.tcp, base_delta_ms=SERVICE_FLOOR_MS)
-        if spec.transport.calibrate
-        else None
-    )
-    overrides = dict(live_overrides(spec, calibration))
-    if spec.shard is not None:
-        group = build_sharded_group(
-            clock, spec, transport=transport, overrides=overrides or None
-        )
-    else:
-        overrides["network"] = transport.make_network(default_delay=spec.delay.build())
-        group = build_ordering_group(clock, spec, **overrides)
-    service_spec = spec.gateway if spec.gateway is not None else ServiceSpec()
-    gateway = OrderingGateway(clock, group, service_spec, service=spec.service)
-    if hub is not None and calibration is not None:
-        hub.calibrated_delta_ms.set(calibration.delta_ms)
-    server = ServiceHttpServer(clock, gateway, host=host, port=port, hub=hub)
-    clock.add_starter(server.start)
-    return ServeHandle(transport, gateway, server)
+    return ServeHandle(build_deployment(spec, serving=True, host=host, port=port))
 
 
 def describe(handle: ServeHandle) -> str:

@@ -28,11 +28,7 @@ import bisect
 import typing
 
 from repro.service.gateway import DeliveryEvent, OrderingGateway
-from repro.service.spec import ServiceSpec
 from repro.workloads.ordering import OrderingWorkload
-
-if typing.TYPE_CHECKING:
-    from repro.transport.base import Clock
 
 
 def zipf_cdf(keyspace: int, s: float) -> list[float]:
@@ -104,17 +100,15 @@ class ServiceWorkload(OrderingWorkload):
 
     def __init__(
         self,
-        sim: "Clock",
-        group: typing.Any,
-        service_spec: ServiceSpec,
-        gateway: OrderingGateway | None = None,
+        gateway: OrderingGateway,
         message_size: int = 3,
         keyspace: int | None = None,
         kv_ops: bool = False,
     ) -> None:
+        service_spec = gateway.spec
         super().__init__(
-            sim,
-            group,
+            gateway.sim,
+            gateway.group,
             messages_per_member=service_spec.ops_per_session,
             interval=service_spec.think_ms,
             message_size=message_size,
@@ -125,10 +119,8 @@ class ServiceWorkload(OrderingWorkload):
         #: carry an explicit well-formed ``"op"`` so the stores execute
         #: client-chosen operations instead of synthesised ones.
         self.kv_ops = kv_ops
-        self.gateway = (
-            gateway if gateway is not None else OrderingGateway(sim, group, service_spec)
-        )
-        self._rng = sim.rng("service")
+        self.gateway = gateway
+        self._rng = gateway.sim.rng("service")
         assert self.keys is not None
         self._zipf_cdf = zipf_cdf(len(self.keys), service_spec.zipf_s)
         keys = service_spec.clients

@@ -101,7 +101,9 @@ class AsyncioClock:
         self._failure: BaseException | None = None
         self._starters: list[typing.Callable[[], typing.Awaitable[None]]] = []
         self._idle_checks: list[typing.Callable[[], bool]] = []
-        self._service_tasks: list[asyncio.Task] = []
+        #: Live service tasks only: a finished task leaves the set, so a
+        #: long served run does not accumulate one per TCP drain burst.
+        self._service_tasks: set[asyncio.Task] = set()
         #: Wall seconds between the first :meth:`run` entry and the last
         #: :meth:`run` exit -- what "real elapsed" reports.
         self.wall_elapsed_s = 0.0
@@ -147,10 +149,11 @@ class AsyncioClock:
         (cancelled when the run concludes).  Failures fail the run."""
         task = self.loop.create_task(coro)
         task.add_done_callback(self._service_done)
-        self._service_tasks.append(task)
+        self._service_tasks.add(task)
         return task
 
     def _service_done(self, task: asyncio.Task) -> None:
+        self._service_tasks.discard(task)
         if task.cancelled():
             return
         exc = task.exception()
@@ -339,7 +342,7 @@ class AsyncioClock:
                     idle_since = None
                 await asyncio.sleep(self._poll_s)
         finally:
-            tasks, self._service_tasks = self._service_tasks, []
+            tasks, self._service_tasks = self._service_tasks, set()
             for task in tasks:
                 task.cancel()
             await asyncio.gather(*tasks, return_exceptions=True)

@@ -83,7 +83,7 @@ def test_run_suite_subset_and_report_roundtrip(tmp_path):
 
 
 def test_run_suite_executes_a_macro_bench():
-    # The macro benches drive _run_ordering end to end; this pins the
+    # The macro benches drive run_workload end to end; this pins the
     # runner's return shape so a refactor there cannot silently break
     # `repro bench` while the micro benches keep passing.
     results = perfreport.run_suite(["fig6_mini"], repeats=1)

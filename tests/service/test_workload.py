@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.runner import build_ordering_group, build_sharded_group
 from repro.experiments.spec import ScenarioSpec, ShardSpec
-from repro.service import ServiceSpec, ServiceWorkload
+from repro.service import OrderingGateway, ServiceSpec, ServiceWorkload
 from repro.service.workload import zipf_cdf
 from repro.sim.scheduler import Simulator
 
@@ -19,11 +19,11 @@ def run_fleet(service_spec, n_members=4, shards=None, seed=3):
             shard=ShardSpec(shards=shards, keyspace=32),
         )
         group = build_sharded_group(sim, scenario)
-        workload = ServiceWorkload(sim, group, service_spec, keyspace=32)
+        workload = ServiceWorkload(OrderingGateway(sim, group, service_spec), keyspace=32)
     else:
         scenario = ScenarioSpec(system="fs-newtop", n_members=n_members, seed=seed)
         group = build_ordering_group(sim, scenario)
-        workload = ServiceWorkload(sim, group, service_spec)
+        workload = ServiceWorkload(OrderingGateway(sim, group, service_spec))
     workload.run(settle_ms=10_000.0)
     return workload
 
@@ -138,3 +138,17 @@ def test_fleet_runs_identically_shaped_on_both_spec_paths():
     assert metrics["service_admitted"] == direct["service_admitted"]
     assert metrics["service_sequenced"] == direct["service_sequenced"]
     assert metrics["ordered"] == direct["service_sequenced"]
+
+
+def test_runner_gateway_orders_with_the_spec_service():
+    from repro.experiments.runner import build_deployment
+
+    spec = ScenarioSpec(
+        system="fs-newtop",
+        n_members=4,
+        service="asymmetric_total",
+        gateway=ServiceSpec(sessions=2, ops_per_session=1),
+    )
+    deployment = build_deployment(spec)
+    assert deployment.gateway.service == "asymmetric_total"
+    deployment.close()

@@ -15,7 +15,7 @@ the specs are sized to keep the whole module under a few seconds.
 
 import pytest
 
-from repro.experiments.runner import _run_ordering, audit_scenario
+from repro.experiments.runner import audit_scenario, build_deployment, run_workload
 from repro.experiments.spec import BatchingSpec, ScenarioSpec, TransportSpec
 from repro.invariants import AuditConfig
 
@@ -43,8 +43,7 @@ def _audit(spec):
 
 def _delivered_orders(spec):
     """Per-member delivered (sender, round) sequences of one run."""
-    workload, __, __ = _run_ordering(spec)
-    group = workload.group
+    group = run_workload(spec, build_deployment(spec)).group
     return {
         member: [
             (message.value["s"], message.value["r"])
@@ -136,13 +135,13 @@ def test_uncalibrated_live_run_keeps_cost_model_deadlines():
     spec = FIG6_STYLE.replace(
         transport=TransportSpec(kind="asyncio", calibrate=False)
     )
-    workload, __, transport = _run_ordering(spec)
-    assert transport.calibration is None
-    result = workload.result("fs-newtop")
+    deployment = build_deployment(spec)
+    assert deployment.calibration is None
+    result = run_workload(spec, deployment).result("fs-newtop")
     # No progress assertion here: the uncalibrated 2ms cost-model delta
     # is *meant* for virtual time and may legally trip on host jitter,
     # and a tripped pair goes silent -- possibly before ordering
     # anything. The contract under test is only that calibrate=False
     # leaves the deadlines alone while the run still executes.
     assert result.network_messages > 0
-    assert transport.wall_metrics()["wall_elapsed_s"] > 0.0
+    assert deployment.transport.wall_metrics()["wall_elapsed_s"] > 0.0

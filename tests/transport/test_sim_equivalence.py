@@ -8,20 +8,20 @@ runs); any drift in these fingerprints means the refactor changed
 simulated behaviour and must be treated as a bug, not re-pinned
 casually.
 
-The second half proves :class:`~repro.transport.sim.SimTransport` is
-pure delegation: routing the same runs through the transport facade
-produces the same bytes.
+Every run goes through the runner's own composition root
+(:func:`~repro.experiments.runner.build_deployment` and
+:func:`~repro.experiments.runner.run_workload`), so the pins cover
+the construction real runs use.  The second half proves
+:class:`~repro.transport.sim.SimTransport` is pure delegation: the
+deployment's clock is the stock simulator, with nothing live attached.
 """
 
 import pytest
 
-from repro.experiments.runner import build_ordering_group
+from repro.experiments.runner import build_deployment, run_workload
 from repro.experiments.spec import BatchingSpec, ScenarioSpec, ShardSpec
-from repro.perf import clear_caches
-from repro.shard.group import build_sharded_group
 from repro.sim.scheduler import Simulator
 from repro.transport import SimTransport
-from repro.workloads.ordering import OrderingWorkload, ShardedOrderingWorkload
 
 SPECS = {
     "fig6_style": ScenarioSpec(
@@ -54,49 +54,32 @@ PINNED = {
 }
 
 
-def _trace_fingerprint(spec: ScenarioSpec, sim) -> str:
-    """Mirror the runner's sim-path construction, trace stored."""
-    if spec.shard is not None:
-        group = build_sharded_group(sim, spec)
-        workload = ShardedOrderingWorkload(
-            sim,
-            group,
-            messages_per_member=spec.messages_per_member,
-            interval=spec.interval,
-            message_size=spec.message_size,
-            service=spec.service,
-            write_ratio=spec.write_ratio,
-            keyspace=spec.shard.keyspace,
-            cross_shard_ratio=spec.shard.cross_shard_ratio,
-        )
-    else:
-        group = build_ordering_group(sim, spec)
-        workload = OrderingWorkload(
-            sim,
-            group,
-            messages_per_member=spec.messages_per_member,
-            interval=spec.interval,
-            message_size=spec.message_size,
-            service=spec.service,
-            write_ratio=spec.write_ratio,
-        )
-    workload.run(settle_ms=spec.settle_ms)
-    clear_caches()
-    return sim.trace.fingerprint()
+def _run_traced(spec: ScenarioSpec):
+    """A measurement run of ``spec`` with its trace stored."""
+    deployment = build_deployment(spec)
+    # Measurement deployments mute the trace.  Assembly records nothing,
+    # so switching it back on before the run captures the whole stream.
+    deployment.clock.trace.enabled = True
+    run_workload(spec, deployment)
+    return deployment
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_sim_traces_match_pre_refactor_pins(name):
-    spec = SPECS[name]
-    assert _trace_fingerprint(spec, Simulator(seed=spec.seed)) == PINNED[name]
+    deployment = _run_traced(SPECS[name])
+    assert deployment.clock.trace.fingerprint() == PINNED[name]
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_sim_transport_is_pure_delegation(name):
-    spec = SPECS[name]
-    with SimTransport(seed=spec.seed) as transport:
-        assert transport.kind == "sim"
-        assert _trace_fingerprint(spec, transport.clock) == PINNED[name]
+    deployment = _run_traced(SPECS[name])
+    transport = deployment.transport
+    assert isinstance(transport, SimTransport)
+    assert type(deployment.clock) is Simulator
+    assert deployment.clock is transport.simulator
+    assert deployment.calibration is None
+    assert deployment.hub is None and deployment.server is None
+    assert deployment.clock.trace.fingerprint() == PINNED[name]
 
 
 def test_sim_transport_exposes_the_simulator():
